@@ -51,18 +51,9 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 
-	var cfg topology.Config
-	switch *preset {
-	case "paper10":
-		cfg = topology.Paper10
-	case "paper15":
-		cfg = topology.Paper15
-	case "paper29":
-		cfg = topology.Paper29
-	case "paper80":
-		cfg = topology.Paper80
-	default:
-		return fmt.Errorf("unknown preset %q", *preset)
+	cfg, err := topology.Preset(*preset)
+	if err != nil {
+		return err
 	}
 	cfg.Seed = *seed
 	pop := topology.Generate(cfg)

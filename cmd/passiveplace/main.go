@@ -83,7 +83,7 @@ func run(args []string, out io.Writer) error {
 		}
 		pop, demands = s.POP, s.Demands
 	default:
-		cfg, err := presetConfig(*preset)
+		cfg, err := topology.Preset(*preset)
 		if err != nil {
 			return err
 		}
@@ -140,18 +140,4 @@ func solverName(name string) string {
 		name = "tap/" + name
 	}
 	return name
-}
-
-func presetConfig(name string) (topology.Config, error) {
-	switch name {
-	case "paper10":
-		return topology.Paper10, nil
-	case "paper15":
-		return topology.Paper15, nil
-	case "paper29":
-		return topology.Paper29, nil
-	case "paper80":
-		return topology.Paper80, nil
-	}
-	return topology.Config{}, fmt.Errorf("unknown preset %q", name)
 }

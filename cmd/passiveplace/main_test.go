@@ -93,17 +93,6 @@ link 4 2 622
 	}
 }
 
-func TestPresetConfig(t *testing.T) {
-	for _, p := range []string{"paper10", "paper15", "paper29", "paper80"} {
-		if _, err := presetConfig(p); err != nil {
-			t.Errorf("%s: %v", p, err)
-		}
-	}
-	if _, err := presetConfig("nope"); err == nil {
-		t.Error("unknown preset accepted")
-	}
-}
-
 func TestRunScenarioFamily(t *testing.T) {
 	out, err := runToString(t, "-family", "metro", "-size", "12", "-seed", "3", "-k", "0.9", "-method", "greedy-gain")
 	if err != nil {

@@ -73,18 +73,11 @@ func run(args []string, out *os.File) error {
 		pop, demands = s.POP, s.Demands
 	} else {
 		cfg := topology.Config{Routers: *routers, InterRouterLinks: *links, Endpoints: *endpoints}
-		switch *preset {
-		case "":
-		case "paper10":
-			cfg = topology.Paper10
-		case "paper15":
-			cfg = topology.Paper15
-		case "paper29":
-			cfg = topology.Paper29
-		case "paper80":
-			cfg = topology.Paper80
-		default:
-			return fmt.Errorf("unknown preset %q", *preset)
+		if *preset != "" {
+			var err error
+			if cfg, err = topology.Preset(*preset); err != nil {
+				return err
+			}
 		}
 		cfg.Seed = *seed
 		pop = topology.Generate(cfg)

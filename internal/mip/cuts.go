@@ -479,9 +479,6 @@ func (s *search) cutLoop(rootSol *lp.Solution) *lp.Solution {
 			return rootSol
 		}
 		s.cutsAdded += len(cuts)
-		if s.opts.CaptureCuts {
-			s.capturedCuts = append(s.capturedCuts, cutRowsToCuts(cuts)...)
-		}
 		rootSol = ns
 		s.bestBound = ns.Objective
 	}

@@ -97,25 +97,6 @@ type Options struct {
 	NoStrongBranch bool
 	// CutRounds caps the root cutting-plane rounds (0 = default 8).
 	CutRounds int
-	// SeedCuts warm-starts the root relaxation with cutting planes
-	// captured from a previous solve (Solution.Cuts, original variable
-	// space). Seeds must be valid inequalities for THIS problem — see
-	// the contract in warm.go; an identical model is always safe. Bad
-	// seeds that break the root LP are rolled back wholesale. Ignored
-	// on the plain tree.
-	SeedCuts []Cut
-	// CaptureCuts records the root cuts (seeded + separated) of this
-	// solve in Solution.Cuts for reuse by a later solve.
-	CaptureCuts bool
-	// SeedPseudo warm-starts pseudo-cost branching with a table
-	// captured from a previous solve (Solution.Pseudo). A non-empty
-	// seed also stands in for the strong-branching probes. Heuristic
-	// only: stale estimates cost nodes, never correctness. Ignored
-	// unless Branching is PseudoCost on the strengthened tree.
-	SeedPseudo *PseudoSnapshot
-	// CapturePseudo records the final pseudo-cost table in
-	// Solution.Pseudo.
-	CapturePseudo bool
 }
 
 // BranchRule selects which fractional variable to branch on.
@@ -183,16 +164,6 @@ type Solution struct {
 	// StrongBranches counts the strong-branching probe LPs solved to
 	// initialize the pseudo-cost estimates.
 	StrongBranches int
-	// CutsSeeded counts the caller-provided cuts (Options.SeedCuts)
-	// accepted into the root relaxation (0 when the seed batch was
-	// rolled back or none was given).
-	CutsSeeded int
-	// Cuts holds the root cutting planes of this solve in the original
-	// variable space when Options.CaptureCuts is set (nil otherwise).
-	Cuts []Cut
-	// Pseudo holds the final pseudo-cost table in the original
-	// variable space when Options.CapturePseudo is set (nil otherwise).
-	Pseudo *PseudoSnapshot
 }
 
 // Value returns the solved value of v.
@@ -355,11 +326,6 @@ func (p *Problem) solveStrengthened(ctx context.Context, opts Options) (*Solutio
 	} else {
 		ropts.Incumbent = nil
 	}
-	// Warm-start artifacts cross the presolve boundary in the original
-	// variable space: seeds are projected onto the kept variables here,
-	// captures are lifted back below.
-	ropts.SeedCuts = projectCuts(opts.SeedCuts, pre)
-	ropts.SeedPseudo = projectPseudo(opts.SeedPseudo, pre, p.lp.NumVariables())
 	sol, err := red.solveTree(ctx, ropts, pre)
 	if err != nil {
 		return nil, err
@@ -368,12 +334,6 @@ func (p *Problem) solveStrengthened(ctx context.Context, opts Options) (*Solutio
 		sol.X = pre.restore(sol.X)
 		sol.Objective += pre.constant
 		sol.Bound += pre.constant
-	}
-	if sol.Cuts != nil {
-		sol.Cuts = liftCuts(sol.Cuts, pre)
-	}
-	if sol.Pseudo != nil {
-		sol.Pseudo = liftPseudo(sol.Pseudo, pre)
 	}
 	sol.PresolveRemoved = pre.removed
 	return sol, nil
@@ -542,11 +502,6 @@ type search struct {
 	rootSide []int8 // 1 = nonbasic at lower, 2 = at upper
 	fixedVar []bool
 
-	// Warm-start artifact capture (reduced space until the presolve
-	// lift in solveStrengthened).
-	capturedCuts []Cut
-	cutsSeeded   int
-
 	chainBuf []*node
 }
 
@@ -703,12 +658,6 @@ func (s *search) root(pre *presolveState) (done bool, err error) {
 		return true, nil
 	}
 
-	if strengthen && len(opts.SeedCuts) > 0 {
-		sol = s.injectSeedCuts(sol)
-		if s.interrupted != lp.Optimal {
-			return true, nil
-		}
-	}
 	if strengthen && !opts.NoCuts {
 		sol = s.cutLoop(sol)
 		if s.interrupted != lp.Optimal {
@@ -730,12 +679,6 @@ func (s *search) root(pre *presolveState) (done bool, err error) {
 		// (triggered by the tree loop at strongBranchTrigger nodes) so
 		// small searches never pay for the probes.
 		s.pc = newPseudoCosts(p.lp.NumVariables())
-		if s.pc.seed(opts.SeedPseudo) {
-			// A seeded table stands in for the strong-branching probes:
-			// the estimates it carries came from real branching history,
-			// which is exactly what the probes approximate.
-			s.probed = true
-		}
 		s.rootSol = sol
 		branchVar = p.pickBranch(sol.X, opts, s.pc)
 		if branchVar < 0 {
@@ -816,9 +759,9 @@ const epsFix = 1e-9
 // finish assembles the Solution exactly as the historical tree did.
 func (s *search) finish() *Solution {
 	if s.rootUnbounded {
-		return s.attachWarm(&Solution{Status: lp.Unbounded, Nodes: s.nodes, Pivots: s.pivots,
+		return &Solution{Status: lp.Unbounded, Nodes: s.nodes, Pivots: s.pivots,
 			Refactorizations: s.refactors, DevexResets: s.devexResets, WarmStarts: s.warmStarts,
-			CutsAdded: s.cutsAdded, VarsFixed: s.varsFixed, StrongBranches: s.strongBranches})
+			CutsAdded: s.cutsAdded, VarsFixed: s.varsFixed, StrongBranches: s.strongBranches}
 	}
 	// On an early stop the best-first queue's top relaxation is the best
 	// still-open bound; combine it with the proven root bound, and never
@@ -840,9 +783,9 @@ func (s *search) finish() *Solution {
 		case s.nodes >= s.opts.MaxNodes:
 			st = lp.IterLimit
 		}
-		return s.attachWarm(&Solution{Status: st, Nodes: s.nodes, Pivots: s.pivots,
+		return &Solution{Status: st, Nodes: s.nodes, Pivots: s.pivots,
 			Refactorizations: s.refactors, DevexResets: s.devexResets, WarmStarts: s.warmStarts,
-			CutsAdded: s.cutsAdded, VarsFixed: s.varsFixed, StrongBranches: s.strongBranches})
+			CutsAdded: s.cutsAdded, VarsFixed: s.varsFixed, StrongBranches: s.strongBranches}
 	}
 	st := lp.Optimal
 	switch {
@@ -862,10 +805,10 @@ func (s *search) finish() *Solution {
 			s.bestBound = s.incObj + s.pruneSlack()
 		}
 	}
-	return s.attachWarm(&Solution{Status: st, Objective: s.incObj, X: s.incumbent, Nodes: s.nodes,
+	return &Solution{Status: st, Objective: s.incObj, X: s.incumbent, Nodes: s.nodes,
 		Pivots: s.pivots, Bound: s.bestBound,
 		Refactorizations: s.refactors, DevexResets: s.devexResets, WarmStarts: s.warmStarts,
-		CutsAdded: s.cutsAdded, VarsFixed: s.varsFixed, StrongBranches: s.strongBranches})
+		CutsAdded: s.cutsAdded, VarsFixed: s.varsFixed, StrongBranches: s.strongBranches}
 }
 
 // evaluateIncumbent validates a warm-start solution: feasible for the

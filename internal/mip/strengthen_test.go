@@ -71,7 +71,10 @@ func buildRandomMIP(seed int64, opts Options) *Problem {
 // solver and the AlgoPlainTree oracle must agree on feasibility and on
 // the optimal objective to 1e-6, and the strengthened solution vector
 // must be full-length and feasible in the caller's variable space
-// (presolve's postsolve at work).
+// (presolve's postsolve at work). Feeding the optimum back as
+// Options.Incumbent into the same presolved model must keep status,
+// objective and a full-length feasible solution, and must not explore
+// more nodes than the cold solve.
 func TestStrengthenedMatchesPlainTree(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		strong := buildRandomMIP(seed, Options{})
@@ -99,6 +102,25 @@ func TestStrengthenedMatchesPlainTree(t *testing.T) {
 		if obj, feasible := strong.lp.Evaluate(ss.X); !feasible || math.Abs(obj-ss.Objective) > 1e-6 {
 			t.Fatalf("seed %d: postsolved solution infeasible or off-objective (feasible=%v obj=%g want %g)",
 				seed, feasible, obj, ss.Objective)
+		}
+
+		warm := buildRandomMIP(seed, Options{Incumbent: ss.X})
+		ws, err := warm.Solve()
+		if err != nil {
+			t.Fatalf("seed %d: incumbent re-solve: %v", seed, err)
+		}
+		if ws.Status != ss.Status || math.Abs(ws.Objective-ss.Objective) > 1e-6 {
+			t.Fatalf("seed %d: incumbent re-solve %v/%g vs %v/%g", seed, ws.Status, ws.Objective, ss.Status, ss.Objective)
+		}
+		if ws.Nodes > ss.Nodes {
+			t.Fatalf("seed %d: incumbent re-solve explored more nodes than cold (%d > %d)", seed, ws.Nodes, ss.Nodes)
+		}
+		if len(ws.X) != warm.NumVariables() {
+			t.Fatalf("seed %d: incumbent re-solve returned %d values for %d variables", seed, len(ws.X), warm.NumVariables())
+		}
+		if obj, feasible := warm.lp.Evaluate(ws.X); !feasible || math.Abs(obj-ws.Objective) > 1e-6 {
+			t.Fatalf("seed %d: incumbent re-solve infeasible or off-objective (feasible=%v obj=%g want %g)",
+				seed, feasible, obj, ws.Objective)
 		}
 	}
 }

@@ -114,6 +114,22 @@ var (
 	Paper80 = Config{Routers: 80, InterRouterLinks: 150, Endpoints: 60}
 )
 
+// Preset returns the paper preset named "paper10", "paper15", "paper29"
+// or "paper80".
+func Preset(name string) (Config, error) {
+	switch name {
+	case "paper10":
+		return Paper10, nil
+	case "paper15":
+		return Paper15, nil
+	case "paper29":
+		return Paper29, nil
+	case "paper80":
+		return Paper80, nil
+	}
+	return Config{}, fmt.Errorf("unknown preset %q", name)
+}
+
 func (c Config) withDefaults() Config {
 	if c.BackboneFraction == 0 {
 		c.BackboneFraction = 0.4

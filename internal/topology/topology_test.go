@@ -35,6 +35,20 @@ func TestGeneratePaper15Shape(t *testing.T) {
 	}
 }
 
+func TestPreset(t *testing.T) {
+	for name, want := range map[string]Config{
+		"paper10": Paper10, "paper15": Paper15, "paper29": Paper29, "paper80": Paper80,
+	} {
+		got, err := Preset(name)
+		if err != nil || got != want {
+			t.Errorf("Preset(%q) = %+v, %v; want %+v", name, got, err, want)
+		}
+	}
+	if _, err := Preset("nope"); err == nil {
+		t.Error("unknown preset accepted")
+	}
+}
+
 func TestGenerateDeterministic(t *testing.T) {
 	a := Generate(Config{Routers: 12, InterRouterLinks: 20, Endpoints: 9, Seed: 42})
 	b := Generate(Config{Routers: 12, InterRouterLinks: 20, Endpoints: 9, Seed: 42})
@@ -132,7 +146,7 @@ func TestWriteParseRoundTrip(t *testing.T) {
 	if err := Write(&sb, pop); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Parse(strings.NewReader(sb.String()))
+	back, err := Read(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +179,7 @@ func TestParseErrors(t *testing.T) {
 		"link not number":  "node 0 a backbone\nnode 1 b backbone\nlink 0 one 5",
 	}
 	for name, in := range cases {
-		if _, err := Parse(strings.NewReader(in)); err == nil {
+		if _, err := Read(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: want parse error", name)
 		}
 	}
@@ -173,7 +187,7 @@ func TestParseErrors(t *testing.T) {
 
 func TestParseSkipsCommentsAndBlank(t *testing.T) {
 	in := "# header\n\nnode 0 a backbone\nnode 1 b access\n# mid\nlink 0 1 155\n"
-	pop, err := Parse(strings.NewReader(in))
+	pop, err := Read(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,18 +20,19 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	var optimal int
-	for _, m := range []TapMethod{TapGreedyLoad, TapGreedyGain, TapFlow, TapILP, TapExact} {
-		pl, err := PlaceTaps(context.Background(), in, 0.9, m)
+	for _, name := range []string{"tap/greedy-load", "tap/greedy-gain", "tap/flow-heuristic", "tap/ilp", "tap/exact"} {
+		res, err := Solve(context.Background(), name, in, WithCoverage(0.9))
 		if err != nil {
-			t.Fatalf("%v: %v", m, err)
+			t.Fatalf("%s: %v", name, err)
 		}
+		pl := res.Taps
 		if pl.Fraction < 0.9-1e-9 {
-			t.Fatalf("%v: coverage %g < 0.9", m, pl.Fraction)
+			t.Fatalf("%s: coverage %g < 0.9", name, pl.Fraction)
 		}
-		if m == TapILP {
+		if name == "tap/ilp" {
 			optimal = pl.Devices()
 		}
-		if m == TapExact && pl.Devices() != optimal {
+		if name == "tap/exact" && pl.Devices() != optimal {
 			t.Fatalf("exact %d != ilp %d", pl.Devices(), optimal)
 		}
 	}
@@ -79,49 +80,19 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ilpN int
-	for _, m := range []BeaconMethod{BeaconThiran, BeaconGreedy, BeaconILP} {
-		pl, err := PlaceBeacons(context.Background(), ps, m)
+	devices := map[string]int{}
+	for _, name := range []string{"beacon/thiran", "beacon/greedy", "beacon/ilp"} {
+		res, err := Solve(context.Background(), name, ps)
 		if err != nil {
-			t.Fatalf("%v: %v", m, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		if err := pl.Validate(ps); err != nil {
-			t.Fatalf("%v: %v", m, err)
+		if err := res.Beacons.Validate(ps); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		if m == BeaconILP {
-			ilpN = pl.Devices()
-		}
+		devices[name] = res.Beacons.Devices()
 	}
-	gr, _ := PlaceBeacons(context.Background(), ps, BeaconGreedy)
-	if ilpN > gr.Devices() {
-		t.Fatalf("ilp %d worse than greedy %d", ilpN, gr.Devices())
-	}
-}
-
-func TestMethodStrings(t *testing.T) {
-	if TapGreedyLoad.String() == "" || TapILP.String() != "ilp" || TapMethod(42).String() == "" {
-		t.Fatal("tap method strings")
-	}
-	if BeaconThiran.String() != "thiran" || BeaconMethod(42).String() == "" {
-		t.Fatal("beacon method strings")
-	}
-}
-
-func TestUnknownMethodsError(t *testing.T) {
-	pop := GeneratePOP(POPConfig{Routers: 4, InterRouterLinks: 5, Endpoints: 3, Seed: 1})
-	in, err := RouteSingle(pop, GenerateDemands(pop, TrafficConfig{Seed: 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := PlaceTaps(context.Background(), in, 0.9, TapMethod(99)); err == nil {
-		t.Fatal("unknown tap method accepted")
-	}
-	ps, err := ComputeProbes(pop.G, []NodeID{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := PlaceBeacons(context.Background(), ps, BeaconMethod(99)); err == nil {
-		t.Fatal("unknown beacon method accepted")
+	if ilpN, grN := devices["beacon/ilp"], devices["beacon/greedy"]; ilpN > grN {
+		t.Fatalf("ilp %d worse than greedy %d", ilpN, grN)
 	}
 }
 
@@ -131,10 +102,11 @@ func TestIncrementalAndBudgetThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := PlaceTaps(context.Background(), in, 0.9, TapILP)
+	res, err := Solve(context.Background(), "tap/ilp", in, WithCoverage(0.9))
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := res.Taps
 	inc, err := PlaceTapsILP(context.Background(), in, 0.9, ILPOptions{Installed: base.Edges[:1]})
 	if err != nil {
 		t.Fatal(err)
@@ -227,11 +199,11 @@ func TestNewFacadeFunctions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := PlaceBeacons(context.Background(), ps, BeaconGreedy)
+	res, err := Solve(context.Background(), "beacon/greedy", ps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BalanceBeaconLoad(ps, pl); err != nil {
+	if _, err := BalanceBeaconLoad(ps, *res.Beacons); err != nil {
 		t.Fatal(err)
 	}
 }

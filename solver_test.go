@@ -222,21 +222,3 @@ func TestRegisteredPortfolioUnderDeadline(t *testing.T) {
 		t.Fatal("portfolio did not report the winning member")
 	}
 }
-
-// TestLegacyWrappersDelegate pins the migration contract: the enum
-// wrappers produce the same placements as the registry solvers they
-// delegate to.
-func TestLegacyWrappersDelegate(t *testing.T) {
-	in := testInstance(t, 13)
-	pl, err := PlaceTaps(context.Background(), in, 0.9, TapILP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Solve(context.Background(), "tap/ilp", in, WithCoverage(0.9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.Devices() != res.Devices() {
-		t.Fatalf("wrapper %d devices, registry %d", pl.Devices(), res.Devices())
-	}
-}
