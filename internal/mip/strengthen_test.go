@@ -71,10 +71,7 @@ func buildRandomMIP(seed int64, opts Options) *Problem {
 // solver and the AlgoPlainTree oracle must agree on feasibility and on
 // the optimal objective to 1e-6, and the strengthened solution vector
 // must be full-length and feasible in the caller's variable space
-// (presolve's postsolve at work). Feeding the optimum back as
-// Options.Incumbent into the same presolved model must keep status,
-// objective and a full-length feasible solution, and must not explore
-// more nodes than the cold solve.
+// (presolve's postsolve at work).
 func TestStrengthenedMatchesPlainTree(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		strong := buildRandomMIP(seed, Options{})
@@ -103,17 +100,34 @@ func TestStrengthenedMatchesPlainTree(t *testing.T) {
 			t.Fatalf("seed %d: postsolved solution infeasible or off-objective (feasible=%v obj=%g want %g)",
 				seed, feasible, obj, ss.Objective)
 		}
+	}
+}
 
-		warm := buildRandomMIP(seed, Options{Incumbent: ss.X})
+// TestWarmArtifactsPreserveValue: on the same 200 random instances,
+// feeding a cold solve's optimum back as Options.Incumbent into a fresh
+// solve of the SAME presolved model must keep status, objective (to
+// 1e-6) and a full-length feasible solution in the caller's variable
+// space, and must not explore more nodes than the cold solve.
+func TestWarmArtifactsPreserveValue(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		cold := buildRandomMIP(seed, Options{})
+		cs, err := cold.Solve()
+		if err != nil {
+			t.Fatalf("seed %d: cold: %v", seed, err)
+		}
+		if cs.Status != lp.Optimal {
+			continue
+		}
+		warm := buildRandomMIP(seed, Options{Incumbent: cs.X})
 		ws, err := warm.Solve()
 		if err != nil {
 			t.Fatalf("seed %d: incumbent re-solve: %v", seed, err)
 		}
-		if ws.Status != ss.Status || math.Abs(ws.Objective-ss.Objective) > 1e-6 {
-			t.Fatalf("seed %d: incumbent re-solve %v/%g vs %v/%g", seed, ws.Status, ws.Objective, ss.Status, ss.Objective)
+		if ws.Status != cs.Status || math.Abs(ws.Objective-cs.Objective) > 1e-6 {
+			t.Fatalf("seed %d: incumbent re-solve %v/%g vs %v/%g", seed, ws.Status, ws.Objective, cs.Status, cs.Objective)
 		}
-		if ws.Nodes > ss.Nodes {
-			t.Fatalf("seed %d: incumbent re-solve explored more nodes than cold (%d > %d)", seed, ws.Nodes, ss.Nodes)
+		if ws.Nodes > cs.Nodes {
+			t.Fatalf("seed %d: incumbent re-solve explored more nodes than cold (%d > %d)", seed, ws.Nodes, cs.Nodes)
 		}
 		if len(ws.X) != warm.NumVariables() {
 			t.Fatalf("seed %d: incumbent re-solve returned %d values for %d variables", seed, len(ws.X), warm.NumVariables())
